@@ -23,6 +23,16 @@
 //! by the topology — threads only decide which worker runs which shard —
 //! so reports are byte-identical at every thread count by construction.
 //!
+//! # Where the time goes
+//!
+//! Epochs are short (one lookahead, 1.5 µs of simulated time at paper
+//! defaults), so the loop is built not to wait: the barrier spins before
+//! it blocks ([`EpochBarrier`]), shards are placed on workers heaviest
+//! first by their run time in the previous chunk ([`greedy_placement`]), and
+//! frames move through reused per-pair mailboxes ([`Inboxes`]) in one lock
+//! per sending shard and destination per epoch. Under `FNCC_PROFILE=1` each worker's inject,
+//! run, flush and barrier-wait time is reported as `span_epoch_*`.
+//!
 //! The run loop mirrors [`Sim::run_to_completion`]'s 1 ms chunking and
 //! its stop test (evaluated on aggregated per-shard counts), so event
 //! totals and stop times match the legacy engine exactly.
@@ -35,13 +45,243 @@ use fncc_net::ids::{HostId, SwitchId};
 use fncc_net::partition::PartitionMap;
 use fncc_net::telemetry::Telemetry;
 use fncc_net::topology::Topology;
-use fncc_obs::{Profiler, TraceSink};
+use fncc_obs::{PhaseId, Profiler, TraceSink};
 use fncc_transport::{DcHost, HostTimer};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::time::Instant;
 
 /// A cross-shard frame in flight between epochs.
 type Frame = Outbound<Ev<HostTimer>>;
+
+const MAILBOX_POISONED: &str = "a worker panicked while holding a mailbox";
+
+/// `spin_loop` iterations a barrier waiter polls before it blocks. An x86
+/// `pause` takes 10 to 140 cycles depending on the core, so this spans
+/// tens to about a hundred microseconds, around one epoch's wall time on
+/// the k=8 incast: on a host with a core per worker the hand-over stays a
+/// cache-line transfer instead of a futex sleep and wake.
+const SPIN_LIMIT: u32 = 4096;
+
+/// A reusable barrier that spins on a generation counter, then blocks.
+///
+/// `std::sync::Barrier` parks every waiter but the last on a condvar, so
+/// each of the two waits per epoch costs one sleep and one wake. Here a
+/// waiter polls the generation for [`SPIN_LIMIT`] iterations first and
+/// only then sleeps; the last arrival bumps the generation and wakes
+/// sleepers only if there are any. With more workers than cores a spinner
+/// would hold the core a late peer needs, so the spin budget is zero.
+struct EpochBarrier {
+    n: usize,
+    spin: u32,
+    arrived: AtomicUsize,
+    generation: AtomicU64,
+    sleepers: AtomicUsize,
+    lock: Mutex<()>,
+    wake: Condvar,
+}
+
+impl EpochBarrier {
+    fn new(n: usize) -> EpochBarrier {
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        EpochBarrier {
+            n,
+            spin: if n <= cores { SPIN_LIMIT } else { 0 },
+            arrived: AtomicUsize::new(0),
+            generation: AtomicU64::new(0),
+            sleepers: AtomicUsize::new(0),
+            lock: Mutex::new(()),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Block until all `n` parties of the current round have arrived.
+    fn wait(&self) {
+        // This round's generation cannot advance before we arrive, so the
+        // value read here is the one the last arrival will bump.
+        let gen = self.generation.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
+            self.arrived.store(0, Ordering::Relaxed);
+            // SeqCst pairs with the sleeper's increment-then-check below:
+            // either it sees the new generation or we see it registered.
+            self.generation.store(gen + 1, Ordering::SeqCst);
+            if self.sleepers.load(Ordering::SeqCst) > 0 {
+                let _guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+                self.wake.notify_all();
+            }
+            return;
+        }
+        for _ in 0..self.spin {
+            if self.generation.load(Ordering::Acquire) != gen {
+                return;
+            }
+            std::hint::spin_loop();
+        }
+        let mut guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        while self.generation.load(Ordering::SeqCst) == gen {
+            guard = self
+                .wake
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Longest-processing-time placement: shards in order of decreasing
+/// cost, each onto the worker with the least cost so far. Every shard
+/// counts one more than its cost and ties go to worker `s % threads` when
+/// it is among the least loaded (else the lowest such index), so equal
+/// costs — including the all-zero costs of a first chunk — reproduce the
+/// round-robin `s % threads`, and every worker gets a shard.
+fn greedy_placement(costs: &[u64], threads: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..costs.len()).collect();
+    order.sort_by_key(|&s| std::cmp::Reverse(costs[s]));
+    let mut load = vec![0u64; threads];
+    let mut assign = vec![0; costs.len()];
+    for s in order {
+        let min = *load.iter().min().expect("at least one worker");
+        let w = if load[s % threads] == min {
+            s % threads
+        } else {
+            load.iter()
+                .position(|&l| l == min)
+                .expect("min is a worker's load")
+        };
+        load[w] += costs[s] + 1;
+        assign[s] = w;
+    }
+    assign
+}
+
+/// Per-shard inboxes: `inboxes[dst][src]` holds the frames shard `src`
+/// sent to shard `dst` that `dst` has not injected yet. One mailbox per
+/// ordered pair, rather than per destination, has exactly one writer:
+/// its capacity then grows with that pair's traffic alone, so the run's
+/// allocation count does not depend on which worker runs which shard or
+/// on the order in which workers flush.
+type Inboxes = Vec<Vec<Mutex<Vec<Frame>>>>;
+
+/// What one worker keeps across epochs and chunks: its counters (summed
+/// after each chunk, so no atomic is shared in the loop), its per-shard
+/// run times and its epoch-phase profiler.
+struct Worker {
+    /// Wall-clock nanoseconds this worker spent running each shard since
+    /// the last placement (indexed by shard).
+    shard_ns: Vec<u64>,
+    cross_frames: u64,
+    violations: u64,
+    prof: Profiler,
+    ph_inject: PhaseId,
+    ph_run: PhaseId,
+    ph_flush: PhaseId,
+    ph_wait: PhaseId,
+}
+
+impl Worker {
+    fn new(n_shards: usize) -> Worker {
+        let mut prof = Profiler::from_env();
+        Worker {
+            shard_ns: vec![0; n_shards],
+            cross_frames: 0,
+            violations: 0,
+            ph_inject: prof.phase("epoch_inject"),
+            ph_run: prof.phase("epoch_run"),
+            ph_flush: prof.phase("epoch_flush"),
+            ph_wait: prof.phase("epoch_barrier_wait"),
+            prof,
+        }
+    }
+
+    /// This worker's share of the epoch loop from `t0` to `horizon` (see
+    /// [`ShardedSim::run_epochs`]).
+    fn run(
+        &mut self,
+        group: &mut [(usize, &mut Sim)],
+        t0: SimTime,
+        horizon: SimTime,
+        la: TimeDelta,
+        inboxes: &Inboxes,
+        barrier: &EpochBarrier,
+    ) {
+        let ps = TimeDelta::from_ps(1);
+        let mut t = t0;
+        while t < horizon {
+            let end = (t + la).min(horizon);
+            self.epoch(group, end - ps, inboxes, barrier);
+            t = end;
+        }
+        // Inclusive pass over the boundary instant.
+        self.epoch(group, horizon, inboxes, barrier);
+    }
+
+    /// One epoch: inject, barrier, run every shard to `until`, flush,
+    /// barrier.
+    fn epoch(
+        &mut self,
+        group: &mut [(usize, &mut Sim)],
+        until: SimTime,
+        inboxes: &Inboxes,
+        barrier: &EpochBarrier,
+    ) {
+        let span = self.prof.begin();
+        for (ix, sim) in group.iter_mut() {
+            for mailbox in &inboxes[*ix] {
+                for f in mailbox.lock().expect(MAILBOX_POISONED).drain(..) {
+                    if f.time < sim.eng.now() {
+                        self.violations += 1;
+                    }
+                    sim.eng.inject(f.time, f.prio, f.seq, f.ev);
+                }
+            }
+        }
+        self.prof.end(self.ph_inject, span);
+        // Without this barrier a fast worker could flush its outbox into
+        // a peer's mailbox *before* the peer's inject ran, delivering
+        // frames one epoch early. Harmless for results (frames carry
+        // absolute keys and cannot fire early) but it makes
+        // queue-occupancy diagnostics race- and thread-dependent; the
+        // barrier keeps every scalar byte-identical across thread counts.
+        self.wait(barrier);
+
+        let span = self.prof.begin();
+        let mut t = Instant::now();
+        for (ix, sim) in group.iter_mut() {
+            sim.run_until(until);
+            let now = Instant::now();
+            self.shard_ns[*ix] += now.duration_since(t).as_nanos() as u64;
+            t = now;
+        }
+        self.prof.end(self.ph_run, span);
+
+        let span = self.prof.begin();
+        for (src, sim) in group.iter_mut() {
+            let outbox = sim.eng.outbox_mut();
+            self.cross_frames += outbox.len() as u64;
+            // Group by destination in place (an unstable sort does not
+            // allocate), then move each batch under one lock.
+            outbox.sort_unstable_by_key(|ob| ob.dst);
+            let mut frames = outbox.drain(..).peekable();
+            while let Some(first) = frames.next() {
+                let dst = first.dst;
+                let mut mailbox = inboxes[dst as usize][*src].lock().expect(MAILBOX_POISONED);
+                mailbox.push(first);
+                while let Some(f) = frames.next_if(|f| f.dst == dst) {
+                    mailbox.push(f);
+                }
+            }
+        }
+        self.prof.end(self.ph_flush, span);
+        self.wait(barrier);
+    }
+
+    fn wait(&mut self, barrier: &EpochBarrier) {
+        let span = self.prof.begin();
+        barrier.wait();
+        self.prof.end(self.ph_wait, span);
+    }
+}
 
 /// Aggregate statistics of a sharded run.
 #[derive(Clone, Copy, Debug, Default)]
@@ -72,14 +312,17 @@ pub struct ShardedSim {
     map: Arc<PartitionMap>,
     /// Worker threads actually used (≤ shard count).
     threads: usize,
-    /// Worker index per shard (`shard % threads` unless a test overrode it).
+    /// Worker index per shard, chosen per chunk by [`greedy_placement`].
     assign: Vec<usize>,
-    /// Per-shard mailboxes holding frames that crossed a boundary and have
-    /// not yet been injected (persists across chunk calls).
-    inboxes: Vec<Mutex<Vec<Frame>>>,
+    /// True once a test fixed `assign` through
+    /// [`ShardedSim::set_worker_assignment`].
+    pinned: bool,
+    /// Frames that crossed a boundary and have not yet been injected
+    /// (persists across chunk calls).
+    inboxes: Inboxes,
+    barrier: EpochBarrier,
+    workers: Vec<Worker>,
     epochs: u64,
-    cross_frames: Arc<AtomicU64>,
-    violations: Arc<AtomicU64>,
     /// Receiver-side flow records pre-registered at build time (flows
     /// whose sender lives in another shard); subtracted from the summed
     /// started-count so the stop test sees distinct flows.
@@ -115,7 +358,6 @@ impl ShardedSim {
         let n = map.n_shards as usize;
         let shards: Vec<Sim> = (0..map.n_shards).map(|s| make(map.clone(), s)).collect();
         let threads = threads.min(n);
-        let assign = (0..n).map(|s| s % threads).collect();
         // At build time the only registered flow records are the
         // receiver-side ones pre-registered for cross-shard flows (sender
         // records appear when FlowStart timers fire), so counting now
@@ -125,23 +367,28 @@ impl ShardedSim {
             shards,
             map,
             threads,
-            assign,
-            inboxes: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
+            assign: (0..n).map(|s| s % threads).collect(),
+            pinned: false,
+            inboxes: (0..n)
+                .map(|_| (0..n).map(|_| Mutex::new(Vec::new())).collect())
+                .collect(),
+            barrier: EpochBarrier::new(threads),
+            workers: (0..threads).map(|_| Worker::new(n)).collect(),
             epochs: 0,
-            cross_frames: Arc::new(AtomicU64::new(0)),
-            violations: Arc::new(AtomicU64::new(0)),
             cross_dst_records,
             merged: None,
         }
     }
 
-    /// Override the shard→worker assignment (property tests shuffle this
-    /// to show results do not depend on which thread runs which shard).
-    /// `assign[s]` must be `< threads` for every shard `s`.
+    /// Override the shard→worker assignment for the rest of the run, in
+    /// place of the per-chunk greedy placement (property tests shuffle
+    /// this to show results do not depend on which thread runs which
+    /// shard). `assign[s]` must be `< threads` for every shard `s`.
     pub fn set_worker_assignment(&mut self, assign: Vec<usize>) {
         assert_eq!(assign.len(), self.shards.len());
         assert!(assign.iter().all(|&w| w < self.threads));
         self.assign = assign;
+        self.pinned = true;
     }
 
     /// The partition in effect.
@@ -186,9 +433,9 @@ impl ShardedSim {
         ShardStats {
             shards: self.map.n_shards,
             epochs: self.epochs,
-            cross_shard_frames: self.cross_frames.load(Ordering::Relaxed),
+            cross_shard_frames: self.workers.iter().map(|w| w.cross_frames).sum(),
             lookahead_ns: self.map.lookahead.as_ps() / 1_000,
-            causality_violations: self.violations.load(Ordering::Relaxed),
+            causality_violations: self.workers.iter().map(|w| w.violations).sum(),
             fallback: self.map.fallback.map(|f| f.code()),
         }
     }
@@ -218,11 +465,17 @@ impl ShardedSim {
         out
     }
 
-    /// Fold every shard's engine and telemetry profiler into `prof`.
+    /// Fold every shard's engine and telemetry profiler, and on a sharded
+    /// run every worker's epoch-phase profiler, into `prof`.
     pub fn absorb_profilers(&self, prof: &mut Profiler) {
         for s in &self.shards {
             prof.absorb(s.profiler());
             prof.absorb(&s.telemetry().profiler);
+        }
+        if self.map.is_sharded() {
+            for w in &self.workers {
+                prof.absorb(&w.prof);
+            }
         }
     }
 
@@ -295,87 +548,54 @@ impl ShardedSim {
     /// The conservative epoch loop: between the current time and
     /// `horizon`, run all shards in lock-step windows of one lookahead.
     /// Each epoch a worker (1) injects its shards' pending mailbox
-    /// frames, (2) runs to one picosecond *before* the epoch end (a frame
-    /// can arrive exactly at the boundary, so the boundary instant
-    /// belongs to the next epoch), (3) flushes outboxes into the
-    /// receivers' mailboxes, and (4) waits at the barrier. A final
-    /// inclusive pass processes the boundary instant `horizon` itself,
-    /// mirroring the single engine's `run_until(horizon)` semantics.
+    /// frames, (2) waits at the barrier, (3) runs to one picosecond
+    /// *before* the epoch end (a frame can arrive exactly at the boundary,
+    /// so the boundary instant belongs to the next epoch), (4) flushes
+    /// outboxes into the receivers' mailboxes, and (5) waits at the
+    /// barrier again. A final inclusive pass processes the boundary
+    /// instant `horizon` itself, mirroring the single engine's
+    /// `run_until(horizon)` semantics.
+    ///
+    /// Shards are placed on workers once per call, from the wall-clock
+    /// time each took to run in the previous call. Event counts are a
+    /// poor proxy: every shard also pays for its replica ticks each epoch,
+    /// so a lightly loaded shard costs more per event than a busy one.
+    /// Placement cannot change results, so a timing-dependent choice is
+    /// safe. It stays fixed within the call: each shard is a full-fabric
+    /// replica, and moving it to another core every epoch would cost more
+    /// in cache misses than it saves.
     fn run_epochs(&mut self, horizon: SimTime) {
         let t0 = self.now();
         let la = self.map.lookahead;
         debug_assert!(!la.is_zero(), "sharded run without positive lookahead");
-        let n_workers = self.threads;
-        let barrier = Barrier::new(n_workers);
-        let inboxes = &self.inboxes;
-        let cross = &self.cross_frames;
-        let violations = &self.violations;
-
-        // Hand each worker its shards (disjoint &mut borrows).
-        let assign = self.assign.clone();
-        let mut groups: Vec<Vec<(usize, &mut Sim)>> = (0..n_workers).map(|_| Vec::new()).collect();
-        for (ix, sim) in self.shards.iter_mut().enumerate() {
-            groups[assign[ix]].push((ix, sim));
+        if !self.pinned {
+            let mut cost = vec![0; self.shards.len()];
+            for w in &mut self.workers {
+                for (c, ns) in cost.iter_mut().zip(&mut w.shard_ns) {
+                    *c += std::mem::take(ns);
+                }
+            }
+            self.assign = greedy_placement(&cost, self.threads);
         }
 
-        let ps = TimeDelta::from_ps(1);
+        // Hand each worker its shards (disjoint &mut borrows). Every group
+        // is sized for all shards, so the allocation count does not depend
+        // on placement.
+        let n = self.shards.len();
+        let mut groups: Vec<Vec<(usize, &mut Sim)>> =
+            (0..self.threads).map(|_| Vec::with_capacity(n)).collect();
+        for (ix, sim) in self.shards.iter_mut().enumerate() {
+            groups[self.assign[ix]].push((ix, sim));
+        }
+        let (inboxes, barrier) = (&self.inboxes, &self.barrier);
         std::thread::scope(|scope| {
-            for mut group in groups {
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    let inject = |group: &mut Vec<(usize, &mut Sim)>| {
-                        for (ix, sim) in group.iter_mut() {
-                            let frames = std::mem::take(&mut *inboxes[*ix].lock().unwrap());
-                            for f in frames {
-                                if f.time < sim.eng.now() {
-                                    violations.fetch_add(1, Ordering::Relaxed);
-                                }
-                                sim.eng.inject(f.time, f.prio, f.seq, f.ev);
-                            }
-                        }
-                    };
-                    let flush = |group: &mut Vec<(usize, &mut Sim)>| {
-                        for (_, sim) in group.iter_mut() {
-                            let outbox = sim.eng.outbox_mut();
-                            if outbox.is_empty() {
-                                continue;
-                            }
-                            cross.fetch_add(outbox.len() as u64, Ordering::Relaxed);
-                            for ob in outbox.drain(..) {
-                                inboxes[ob.dst as usize].lock().unwrap().push(ob);
-                            }
-                        }
-                    };
-                    let mut t = t0;
-                    while t < horizon {
-                        let end = (t + la).min(horizon);
-                        inject(&mut group);
-                        // Without this barrier a fast worker could flush
-                        // its outbox into a peer's mailbox *before* the
-                        // peer's inject ran, delivering frames one epoch
-                        // early. Harmless for results (frames carry
-                        // absolute keys and cannot fire early) but it
-                        // makes queue-occupancy diagnostics race- and
-                        // thread-dependent; the barrier keeps every
-                        // scalar byte-identical across thread counts.
-                        barrier.wait();
-                        for (_, sim) in group.iter_mut() {
-                            sim.run_until(end - ps);
-                        }
-                        flush(&mut group);
-                        barrier.wait();
-                        t = end;
-                    }
-                    // Inclusive pass over the boundary instant.
-                    inject(&mut group);
-                    barrier.wait();
-                    for (_, sim) in group.iter_mut() {
-                        sim.run_until(horizon);
-                    }
-                    flush(&mut group);
-                    barrier.wait();
-                });
+            let mut jobs = groups.iter_mut().zip(self.workers.iter_mut());
+            // The calling thread is worker 0; the rest are spawned.
+            let (group0, worker0) = jobs.next().expect("at least one worker");
+            for (group, worker) in jobs {
+                scope.spawn(move || worker.run(group, t0, horizon, la, inboxes, barrier));
             }
+            worker0.run(group0, t0, horizon, la, inboxes, barrier);
         });
 
         // Epoch count: the while-loop syncs plus the final inclusive pass.
@@ -481,6 +701,116 @@ mod tests {
                 assert_eq!(a.start, b.start, "flow {:?} start", f.id);
                 assert_eq!(a.finish, b.finish, "flow {:?} finish", f.id);
             }
+        }
+    }
+
+    /// Everything a run observes, for byte comparison across engines.
+    fn fingerprint(events: u64, t: &Telemetry) -> String {
+        let records: Vec<_> = t.flow_records().collect();
+        let scalars = t.metrics.scalar_pairs();
+        format!("{events}|{:?}|{records:?}|{scalars:?}", t.counters)
+    }
+
+    /// A run that moves every shard to another worker at every 1 ms chunk
+    /// must observe exactly what the single engine does: placement is
+    /// transport, not schedule.
+    #[test]
+    fn placement_switched_every_chunk_matches_single_engine() {
+        // A 10 Gb/s incast from every other pod (plus one intra-pod
+        // sender) into host 0 drains over several 1 ms chunks.
+        let topo = Topology::fat_tree(4, Bandwidth::gbps(10), TimeDelta::from_ns(1500));
+        let flows: Vec<FlowSpec> = (1..16u32)
+            .map(|src| FlowSpec {
+                id: FlowId(src - 1),
+                src: HostId(src),
+                dst: HostId(0),
+                size: 250_000,
+                start: SimTime::from_us(u64::from(src)),
+            })
+            .collect();
+        let build = |shard: Option<(Arc<PartitionMap>, u16)>| {
+            let mut b = SimBuilder::new(topo.clone(), CcKind::Fncc).flows(flows.clone());
+            if let Some((m, s)) = shard {
+                b = b.shard(m, s);
+            }
+            b.build()
+        };
+        let chunk = TimeDelta::from_ms(1);
+        let mut legacy = build(None);
+        assert!(legacy.run_to_completion(chunk, SimTime::from_ms(50)));
+        let want = fingerprint(legacy.events_processed(), legacy.telemetry());
+
+        for threads in [2usize, 3] {
+            let mut sim = ShardedSim::new(&topo, threads, |m, s| build(Some((m, s))));
+            let n = sim.shards.len();
+            // Calling `run_to_completion` with a cap one chunk ahead runs
+            // exactly one chunk of the uncapped loop per call.
+            let mut chunks = 0u64;
+            loop {
+                match chunks % 3 {
+                    0 => sim.set_worker_assignment((0..n).map(|s| (n - 1 - s) % threads).collect()),
+                    1 => sim.pinned = false,
+                    _ => sim.set_worker_assignment((0..n).map(|s| s % threads).collect()),
+                }
+                chunks += 1;
+                if sim.run_to_completion(chunk, SimTime::from_ms(chunks)) {
+                    break;
+                }
+                assert!(chunks < 50, "threads={threads}: no completion");
+            }
+            assert!(
+                chunks >= 4,
+                "only {chunks} chunks: every placement must run"
+            );
+            assert_eq!(sim.stats().causality_violations, 0);
+            let events = sim.events_processed();
+            let got = fingerprint(events, sim.harvest());
+            assert_eq!(got, want, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn greedy_placement_balances_and_defaults_to_round_robin() {
+        // No history: round-robin.
+        assert_eq!(greedy_placement(&[0; 4], 2), vec![0, 1, 0, 1]);
+        assert_eq!(greedy_placement(&[0; 5], 3), vec![0, 1, 2, 0, 1]);
+        assert_eq!(greedy_placement(&[7; 4], 3), vec![0, 1, 2, 0]);
+        // One hot shard gets a worker to itself.
+        assert_eq!(greedy_placement(&[1, 1, 1, 9], 2), vec![0, 0, 0, 1]);
+        let costs = [10, 40, 5, 5, 20, 30, 5, 60];
+        let assign = greedy_placement(&costs, 2);
+        let mut load = [0u64; 2];
+        for (s, &w) in assign.iter().enumerate() {
+            load[w] += costs[s];
+        }
+        assert_eq!(load.iter().max(), Some(&90), "{assign:?}");
+    }
+
+    /// No party may leave round `r` before every party has arrived at it,
+    /// whether waiters spin or (more threads than cores) block.
+    #[test]
+    fn epoch_barrier_holds_every_round() {
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        for n in [2, cores.max(2), 2 * cores] {
+            let barrier = EpochBarrier::new(n);
+            let arrivals = AtomicUsize::new(0);
+            let rounds = 10_000;
+            std::thread::scope(|scope| {
+                for _ in 0..n {
+                    scope.spawn(|| {
+                        for r in 0..rounds {
+                            arrivals.fetch_add(1, Ordering::SeqCst);
+                            barrier.wait();
+                            let seen = arrivals.load(Ordering::SeqCst);
+                            assert!(seen >= (r + 1) * n, "n={n} round {r}: left after {seen}");
+                            // The round after next cannot start until we
+                            // arrive again, so the count is bounded too.
+                            assert!(seen <= (r + 2) * n, "n={n} round {r}: saw {seen}");
+                        }
+                    });
+                }
+            });
+            assert_eq!(arrivals.into_inner(), rounds * n);
         }
     }
 

@@ -2,8 +2,11 @@
 //! sweeps (simulations are single-threaded; repetitions are embarrassingly
 //! parallel).
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+/// Jobs run outside the slot locks, so a job's panic cannot poison one.
+const SLOT_POISONED: &str = "sweep slot lock poisoned";
 
 /// Run every job, using up to `threads` worker threads, and return results
 /// in job order. Panics in jobs propagate.
@@ -36,24 +39,32 @@ where
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
 
-    crossbeam::thread::scope(|s| {
+    // `std::thread::scope` joins every worker and re-raises a job's panic.
+    std::thread::scope(|s| {
         for _ in 0..threads {
-            s.spawn(|_| loop {
+            s.spawn(|| loop {
                 let ix = next.fetch_add(1, Ordering::Relaxed);
                 if ix >= n {
                     break;
                 }
-                let job = jobs[ix].lock().take().expect("job claimed twice");
+                let job = jobs[ix]
+                    .lock()
+                    .expect(SLOT_POISONED)
+                    .take()
+                    .expect("job claimed twice");
                 let out = job();
-                *slots[ix].lock() = Some(out);
+                *slots[ix].lock().expect(SLOT_POISONED) = Some(out);
             });
         }
-    })
-    .expect("sweep worker panicked");
+    });
 
     slots
         .into_iter()
-        .map(|slot| slot.into_inner().expect("job missing result"))
+        .map(|slot| {
+            slot.into_inner()
+                .expect(SLOT_POISONED)
+                .expect("job missing result")
+        })
         .collect()
 }
 
